@@ -20,11 +20,13 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.core.cuts import BalancedCuts, EvenCuts
 from repro.core.embedding import Embedding
 from repro.core.histogram import MultiDimHistogram
 from repro.core.metrics import InsertMetric, QueryMetric
-from repro.core.query import RangeQuery, rect_intersection
+from repro.core.query import NormRect, RangeQuery, rect_intersection, rect_mask
 from repro.core.records import Record
 from repro.core.replication import FULL_REPLICATION, failover_targets, replica_targets
 from repro.core.schema import IndexSchema
@@ -137,6 +139,9 @@ class _RegionState:
 class _QueryOp:
     metric: QueryMetric
     query: RangeQuery
+    #: ``query.normalized_rect`` of the index schema: every response is
+    #: filtered against it in one batch.
+    rect: NormRect
     pending: Set[str]
     answered: Set[str] = field(default_factory=set)
     records: Dict[int, Record] = field(default_factory=dict)
@@ -732,6 +737,7 @@ class MindNode(OverlayNode):
         op = _QueryOp(
             metric=metric,
             query=query,
+            rect=rect,
             pending=set(),
             callback=callback,
             replication=state.replication,
@@ -1206,13 +1212,19 @@ class MindNode(OverlayNode):
         from_failover = bool(payload.get("failover"))
         op.metric.nodes_visited.update(payload["path"])
         op.metric.nodes_visited.add(payload["responder"])
-        schema = self._state(op.query.index).schema
-        for wire in payload["records"]:
-            record = Record.from_wire(wire)
-            if op.query.matches(schema, record):
-                if from_failover and record.key not in op.records:
+        wires = payload["records"]
+        if wires:
+            # The same check as ``RangeQuery.matches`` per record, as one
+            # normalize + mask over the whole response.
+            schema = self._state(op.query.index).schema
+            mask = rect_mask(schema.normalize_batch([wire[0] for wire in wires]), op.rect)
+            rows = range(len(wires)) if mask is None else np.flatnonzero(mask).tolist()
+            records = op.records
+            for row in rows:
+                record = Record.from_wire(wires[row])
+                if from_failover and record.key not in records:
                     op.metric.replica_records += 1
-                op.records[record.key] = record
+                records[record.key] = record
         if key not in op.answered:
             # Responses can arrive out of order (a child sub-query may beat
             # the parent that spawned it), so track answered regions and

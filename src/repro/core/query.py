@@ -9,6 +9,8 @@ embedding converts them to normalized rectangles.
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.records import Record
 from repro.core.schema import IndexSchema
 
@@ -59,7 +61,9 @@ class RangeQuery:
         Evaluated in normalized coordinates so that every layer — local
         stores, embeddings, ground-truth evaluation — agrees exactly,
         including for out-of-domain values clamped to the top of the
-        range.
+        range.  This is the scalar reference: ground-truth evaluation uses
+        it, and the originator's batched response filter (``rect_mask``
+        over ``normalize_batch``) is tested against it.
         """
         rect = self.normalized_rect(schema)
         return rect_contains_point(rect, schema.normalize(record.values))
@@ -110,6 +114,29 @@ def rect_contains_point(rect: NormRect, point: Sequence[float]) -> bool:
         if x >= hi and not (hi >= 1.0 and x < 1.0):
             return False
     return True
+
+
+def rect_mask(points: np.ndarray, rect: NormRect) -> Optional[np.ndarray]:
+    """Vectorized :func:`rect_contains_point` over the rows of ``points``.
+
+    Mirrors the scalar semantics exactly for *normalized* points (which
+    ``IndexSchema.normalize``/``normalize_batch`` guarantee lie in
+    ``[0, 1)``): half-open per dimension, except a top bound at/above 1.0
+    admits every in-domain point (clamped out-of-domain records sit at
+    ``1 - eps``).  Bounds that cannot exclude a normalized point —
+    ``lo <= 0`` and ``hi >= 1`` — are skipped entirely; returns ``None``
+    when every dimension is unbounded (all rows match).
+    """
+    mask: Optional[np.ndarray] = None
+    for dim, (lo, hi) in enumerate(rect):
+        column = points[:, dim]
+        if lo > 0.0:
+            test = column >= lo
+            mask = test if mask is None else (mask & test)
+        if hi < 1.0:
+            test = column < hi
+            mask = test if mask is None else (mask & test)
+    return mask
 
 
 def full_rect(dimensions: int) -> NormRect:

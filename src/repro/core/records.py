@@ -6,6 +6,9 @@ from typing import Any, Dict, Sequence, Tuple
 
 _RECORD_IDS = itertools.count(1)
 
+#: A record on the simulated wire: ``(values, payload, key)``.
+WireRecord = Tuple[Tuple[float, ...], Dict[str, Any], int]
+
 
 @dataclass(frozen=True, slots=True)
 class Record:
@@ -39,9 +42,18 @@ class Record:
     def value(self, dim: int) -> float:
         return self.values[dim]
 
-    def to_wire(self) -> Dict[str, Any]:
-        return {"values": list(self.values), "payload": self.payload, "key": self.key}
+    def to_wire(self) -> WireRecord:
+        """The record as a ``(values, payload, key)`` tuple.
+
+        A tuple rather than a keyed dict: every record a query returns
+        crosses the wire, and building and unpacking a dict per record
+        costs a measurable share of the result path.  ``values`` is
+        already an immutable tuple and is shipped as is; the payload dict
+        is shared until :meth:`from_wire` copies it on the receiving side.
+        """
+        return (self.values, self.payload, self.key)
 
     @classmethod
-    def from_wire(cls, data: Dict[str, Any]) -> "Record":
-        return cls(values=data["values"], payload=data["payload"], key=data["key"])
+    def from_wire(cls, data: WireRecord) -> "Record":
+        values, payload, key = data
+        return cls(values, payload, key)

@@ -8,28 +8,26 @@ periodic monitoring queries the paper issues (5-minute windows over a day
 of data).
 
 Each time bucket keeps its normalized points in a growing ``float64``
-matrix (amortized-doubling append), so rectangle containment over a bucket
-is a handful of vectorized comparisons instead of a per-record Python
-loop — the batched range-filter primitive that Skip-Webs-style distributed
+matrix (amortized-doubling append), so rectangle containment over all the
+buckets a query touches is one mask over their concatenated points: a
+handful of vectorized comparisons instead of a per-record Python loop,
+the batched range-filter primitive that Skip-Webs-style distributed
 multi-dimensional indexes are built around.  The original per-record scan
 survives behind ``vectorized=False`` and serves as the ground truth for
 the equivalence property tests.
 """
 
 import math
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.query import NormRect, rect_contains_point
+from repro.core.query import NormRect, rect_contains_point, rect_mask
 from repro.core.records import Record
 from repro.core.schema import IndexSchema
 
 _INITIAL_CAPACITY = 16
-#: Below this many rows a per-record scan beats the fixed cost of building
-#: NumPy masks, so the vectorized store drops to the scalar loop per bucket
-#: (results are identical either way).
-_VECTOR_MIN_ROWS = 48
 
 
 class _ColumnBucket:
@@ -74,35 +72,13 @@ class _ColumnBucket:
         return self._points[: self.size]
 
 
-def rect_mask(points: np.ndarray, rect: NormRect) -> Optional[np.ndarray]:
-    """Vectorized :func:`~repro.core.query.rect_contains_point` over rows.
-
-    Mirrors the scalar semantics exactly for *normalized* points (which
-    ``IndexSchema.normalize`` guarantees lie in ``[0, 1)``): half-open per
-    dimension, except a top bound at/above 1.0 admits every in-domain
-    point (clamped out-of-domain records sit at ``1 - eps``).  Bounds that
-    cannot exclude a normalized point — ``lo <= 0`` and ``hi >= 1`` — are
-    skipped entirely; returns ``None`` when every dimension is unbounded
-    (all rows match).
-    """
-    mask: Optional[np.ndarray] = None
-    for dim, (lo, hi) in enumerate(rect):
-        column = points[:, dim]
-        if lo > 0.0:
-            test = column >= lo
-            mask = test if mask is None else (mask & test)
-        if hi < 1.0:
-            test = column < hi
-            mask = test if mask is None else (mask & test)
-    return mask
-
-
 class TimePartitionedStore:
     """Stores (record, normalized point) pairs, partitioned by time.
 
     ``vectorized=True`` (the default) evaluates rectangle containment as
-    one NumPy mask per candidate bucket; ``vectorized=False`` keeps the
-    scalar per-record scan as a byte-identical reference path.
+    one NumPy mask over the concatenated points of every candidate bucket;
+    ``vectorized=False`` keeps the scalar per-record scan as a
+    byte-identical reference path.
     """
 
     def __init__(
@@ -197,25 +173,28 @@ class TimePartitionedStore:
         ``time_range`` (raw units, half-open) prunes the buckets scanned;
         the rectangle check remains authoritative.
         """
-        out: List[Record] = []
-        for bucket_id in self._candidate_buckets(time_range):
-            bucket = self._buckets[bucket_id]
-            records = bucket.records
-            if self.vectorized and bucket.size >= _VECTOR_MIN_ROWS:
-                mask = rect_mask(bucket.points, rect)
-                if mask is None:
-                    out.extend(records)
-                else:
-                    hits = np.flatnonzero(mask)
-                    if hits.size == len(records):
-                        out.extend(records)
-                    else:
-                        out.extend(map(records.__getitem__, hits.tolist()))
-            else:
-                for record, point in zip(records, bucket.points.tolist()):
+        buckets = [self._buckets[b] for b in self._candidate_buckets(time_range)]
+        if not self.vectorized:
+            out: List[Record] = []
+            for bucket in buckets:
+                for record, point in zip(bucket.records, bucket.points.tolist()):
                     if rect_contains_point(rect, point):
                         out.append(record)
-        return out
+            return out
+        # One mask over every candidate row: with 300 s buckets most
+        # buckets hold a few dozen rows, and NumPy's per-call cost would
+        # dominate a mask per bucket.  Concatenation keeps the
+        # bucket-ascending, insertion order of the scalar path.
+        records = list(chain.from_iterable(bucket.records for bucket in buckets))
+        if not records:
+            return records
+        mask = rect_mask(np.concatenate([bucket.points for bucket in buckets]), rect)
+        if mask is None:
+            return records
+        hits = np.flatnonzero(mask)
+        if hits.size == len(records):
+            return records
+        return list(map(records.__getitem__, hits.tolist()))
 
     def _candidate_buckets(self, time_range: Optional[Tuple[float, float]]) -> Sequence[int]:
         """Bucket ids overlapping ``time_range``, in ascending time order.

@@ -29,16 +29,35 @@ SCHEMA = IndexSchema(
     ],
 )
 
+# Timestamps crowd into three hot 100-s buckets (the stores below use
+# bucket_s=100) and scatter thinly over the rest of the range, so a scan
+# concatenates a few large buckets with many tiny ones.
+timestamp_strategy = st.one_of(
+    st.sampled_from([100.0, 700.0, 1300.0]).flatmap(
+        lambda t: st.floats(min_value=t, max_value=t + 99.0, allow_nan=False, width=32)
+    ),
+    st.floats(min_value=-5.0, max_value=2000.0, allow_nan=False, width=32),
+)
+
 # Values deliberately overflow every domain (x up to 1e6, v down to -1e3)
 # so the clamped top/bottom-of-range edge cases are always in play.
 values_strategy = st.tuples(
     st.floats(min_value=-10.0, max_value=1.0e6, allow_nan=False, width=32),
-    st.floats(min_value=-5.0, max_value=2000.0, allow_nan=False, width=32),
+    timestamp_strategy,
     st.floats(min_value=-1000.0, max_value=60.0, allow_nan=False, width=32),
 )
 
 records_strategy = st.lists(values_strategy, min_size=0, max_size=60).map(
     lambda rows: [Record(row) for row in rows]
+)
+
+# The store scans take sizes drawn uniformly up to a few hundred: left to
+# itself hypothesis keeps lists short, and the hot buckets only grow
+# large with many records.
+scan_records_strategy = (
+    st.integers(min_value=0, max_value=240)
+    .flatmap(lambda n: st.lists(values_strategy, min_size=n, max_size=n))
+    .map(lambda rows: [Record(row) for row in rows])
 )
 
 interval_strategy = st.tuples(
@@ -58,7 +77,7 @@ def make_stores(records):
 
 
 @settings(max_examples=60, deadline=None)
-@given(records=records_strategy, rect=rect_strategy)
+@given(records=scan_records_strategy, rect=rect_strategy)
 def test_store_query_identical(records, rect):
     scalar, vector = make_stores(records)
     assert len(scalar) == len(vector)
@@ -69,11 +88,11 @@ def test_store_query_identical(records, rect):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    records=records_strategy,
+    records=scan_records_strategy,
     rect=rect_strategy,
     t_range=st.tuples(
-        st.floats(min_value=0.0, max_value=2000.0, allow_nan=False),
-        st.floats(min_value=0.0, max_value=2000.0, allow_nan=False),
+        st.floats(min_value=-10.0, max_value=2010.0, allow_nan=False),
+        st.floats(min_value=-10.0, max_value=2010.0, allow_nan=False),
     ).map(lambda pair: (min(pair), max(pair))),
 )
 def test_store_query_with_time_range_identical(records, rect, t_range):
