@@ -223,18 +223,18 @@ def bench_isolation_overhead(records: List[Record], n_messages: int = 2000) -> D
     """One-shot cost of the message-isolation sanitizer per delivery.
 
     Times :meth:`~repro.net.message.Message.clone` on a representative
-    record-carrying payload (a ``query_response`` with a batch of wire
-    records) at each isolation level.  This is *not* a scalar-vs-vectorized
+    record-carrying payload (a ``query_response`` with a batch of records,
+    which every level shares as immutable leaves) at each isolation level.  This is *not* a scalar-vs-vectorized
     regression gate — it documents what ``REPRO_ISOLATE_MESSAGES`` would
     add per message, i.e. why timed perf runs keep isolation off.
     """
-    wires = [r.to_wire() for r in records[:64]]
+    shipped = records[:64]
     payload = {
         "qid": "q-bench",
         "version": 0.0,
         "region": "0101",
         "spawned": [],
-        "records": wires,
+        "records": shipped,
         "path": [f"node-{i}" for i in range(8)],
         "responder": "node-0",
         "attempt": 1,
@@ -252,7 +252,7 @@ def bench_isolation_overhead(records: List[Record], n_messages: int = 2000) -> D
     per_us = lambda s: round(s / n_messages * 1e6, 3)  # noqa: E731
     return {
         "messages": n_messages,
-        "payload_records": len(wires),
+        "payload_records": len(shipped),
         "off_us_per_msg": per_us(off_s),
         "copy_us_per_msg": per_us(copy_s),
         "freeze_us_per_msg": per_us(freeze_s),
@@ -295,6 +295,145 @@ def bench_schedule_fuzz_overhead(n_events: int = 50_000, num_ties: int = 50) -> 
         "reverse_ns_per_event": per_ns(reverse_s),
         "shuffle_overhead_ns_per_event": per_ns(shuffle_s - off_s),
     }
+
+
+#: The kernel bench's two traffic mixes, copied from measured runs by
+#: ``python -m benchmarks.perf.queue_traffic`` (2-core VM; the figures are
+#: counts and virtual times, so they do not depend on the machine):
+#:
+#: * ``dense``: the scale tier's timed section at 1000 nodes / 200k
+#:   records, seed 7 (``queue_traffic scale``): 3420 events per virtual
+#:   second counting the 60 s drain, i.e. several per 1 ms calendar slot;
+#:   median 31446 live events pending (p10 11129, p90 43429).
+#: * ``sparse``: the ``query-scan`` benchmark's timed phase, seed 1,
+#:   30 s (``queue_traffic query-scan``): 43.4 events per virtual second,
+#:   one per ~23 ms; median 41 pending (p10 35, p90 47).
+#:
+#: ``delay_quantiles_s`` are the 0, 2.5, ..., 100 % quantiles of the delay
+#: (firing time minus push time) of the events that ran.  Both mixes are
+#: bimodal: message deliveries and service completions under ~0.2 s, and
+#: 10-90 s protocol timers.
+KERNEL_DENSITIES = {
+    "dense": {
+        "measured_events_per_virtual_s": 3420.2,
+        "pending": 31446,
+        "delay_quantiles_s": (
+            0.001, 0.0015, 0.0015, 0.0015, 0.0015, 0.0015, 0.0015, 0.0015,
+            0.0015, 0.0015, 0.0015, 0.0015, 0.0015, 0.0015, 0.0015, 0.0015,
+            0.0045, 0.013, 0.022, 0.031, 0.04, 0.05004, 0.06, 0.06763,
+            0.073, 0.077, 0.08063, 0.084, 0.087, 0.09, 0.094, 0.099,
+            0.1075, 0.157, 10.0, 10.0, 30.0, 30.0, 90.0, 90.0, 90.0,
+        ),
+    },
+    "sparse": {
+        "measured_events_per_virtual_s": 43.4,
+        "pending": 41,
+        "delay_quantiles_s": (
+            2.177e-05, 0.0001554, 0.0001948, 0.0002267, 0.0002571,
+            0.0002863, 0.0003158, 0.0003459, 0.000378, 0.000412, 0.00045,
+            0.000493, 0.000543, 0.0006019, 0.0006774, 0.0007799,
+            0.0009458, 0.001321, 0.003631, 0.008115, 0.01023, 0.01185,
+            0.01371, 0.0158, 0.01801, 0.02025, 0.02263, 0.02562, 0.03339,
+            0.0443, 0.05111, 0.05614, 0.06038, 0.06449, 0.06878, 0.07394,
+            0.0815, 0.5098, 10.0, 10.0, 20.46,
+        ),
+    },
+}
+
+
+def _delay_draws(quantiles, rng: random.Random, n: int) -> List[float]:
+    """``n`` delays from the quantile table, linear between quantiles."""
+    steps = len(quantiles) - 1
+    out = []
+    for _ in range(n):
+        u = rng.random() * steps
+        i = int(u)
+        out.append(quantiles[i] + (quantiles[i + 1] - quantiles[i]) * (u - i))
+    return out
+
+
+def _residual_draws(quantiles, rng: random.Random, n: int) -> List[float]:
+    """``n`` remaining delays of events already pending in steady state.
+
+    A pending event's full delay is length-biased (long delays stay in
+    the queue longer) and it has used up a uniform share of it, so a hold
+    model starting from these times is in steady state from its first
+    pop, with no warm-up.  Inside one quantile segment the delay density
+    is flat, so the length-biased one grows linearly.
+    """
+    segments = list(zip(quantiles, quantiles[1:]))
+    weights = [lo + hi for lo, hi in segments]
+    out = []
+    for lo, hi in rng.choices(segments, weights=weights, k=n):
+        full = (lo * lo + rng.random() * (hi * hi - lo * lo)) ** 0.5
+        out.append(full * rng.random())
+    return out
+
+
+def bench_kernel(n_events: int = 100_000, seed: int = 7) -> Dict:
+    """Event-kernel cost of one push plus one pop, in ns per event.
+
+    A steady-state hold model of each measured traffic mix in
+    :data:`KERNEL_DENSITIES`: the measured median number of events stays
+    pending, and every pop schedules one replacement after a delay drawn
+    from the measured delay quantiles.  The model's event rate is the
+    pending count over the mean delay, reported next to the measured
+    rate.  The mix of short deliveries and long timers exercises the
+    calendar's slow path: a long timer due before the next calendar entry
+    pops from the heap while the cursor waits ahead at that entry's slot,
+    and short delays pushed then land behind the cursor and go to the
+    heap as well.  Not modelled: cancellations, bulk ``push_many``
+    scheduling, ``run_until`` stopping at a horizon between events, and
+    the workload's steady op arrivals.
+
+    How close the model comes (seed 7, calendar queue): ``sparse`` runs
+    53 events per virtual second (measured 43), 33 % of its pushes land
+    behind the cursor and 38 % of its pops come from the heap (measured
+    53 % and 59 %).  ``dense`` runs 4070 events per virtual second
+    (measured 3420 with the drain), but 15 % of its pushes land behind
+    the cursor and 26 % of pops come from the heap, against 1.3 % and
+    15 % measured: without the workload's arrivals to keep slots filled,
+    chains of short delays that fall behind the cursor stay in the heap.
+    Both figures are illustrative of the kernel's per-event cost; whether
+    the calendar pays for itself is an end-to-end question (ROADMAP).
+
+    The calendar queue (the kernel default) and the heap-only queue
+    (``num_slots=0``, its ordering oracle) run the same times; each
+    figure is the best of three interleaved runs.
+    """
+    from repro.sim.events import EventQueue, schedule_fuzz
+
+    noop = lambda: None  # noqa: E731
+
+    def hold(calendar: bool, initial: List[float], delays: List[float]) -> float:
+        with schedule_fuzz("off"):
+            queue = EventQueue() if calendar else EventQueue(num_slots=0)
+        for time_s in initial:
+            queue.push(time_s, noop, ())
+        push, pop = queue.push, queue.pop
+        start = time.perf_counter()
+        for delay in delays:
+            push(pop().time + delay, noop, ())
+        return time.perf_counter() - start
+
+    out: Dict = {"events": n_events}
+    for name, mix in KERNEL_DENSITIES.items():
+        quantiles, pending = mix["delay_quantiles_s"], mix["pending"]
+        rng = random.Random(seed)
+        initial = _residual_draws(quantiles, rng, pending)
+        delays = _delay_draws(quantiles, rng, n_events)
+        calendar_s = heap_s = float("inf")
+        for _ in range(3):
+            calendar_s = min(calendar_s, hold(True, initial, delays))
+            heap_s = min(heap_s, hold(False, initial, delays))
+        out[name] = {
+            "pending": pending,
+            "measured_events_per_virtual_s": mix["measured_events_per_virtual_s"],
+            "model_events_per_virtual_s": round(pending * n_events / sum(delays), 1),
+            "calendar_ns_per_event": round(calendar_s / n_events * 1e9, 1),
+            "heap_ns_per_event": round(heap_s / n_events * 1e9, 1),
+        }
+    return out
 
 
 def bench_resource_tracking_overhead(n_messages: int = 20_000) -> Dict:

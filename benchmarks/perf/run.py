@@ -29,7 +29,9 @@ import numpy as np  # noqa: E402
 
 from benchmarks.perf.failover_bench import run_failover_scenario  # noqa: E402
 from benchmarks.perf.microbench import (  # noqa: E402
+    KERNEL_DENSITIES,
     bench_isolation_overhead,
+    bench_kernel,
     bench_resource_tracking_overhead,
     bench_schedule_fuzz_overhead,
     make_records,
@@ -211,6 +213,11 @@ def main(argv=None) -> int:
             profile_sections.append((name, buf.getvalue()))
             return result
 
+    # The event kernel on its own: push+pop cost per event under the
+    # scale tier's and query-scan's measured traffic.  Timed first, before
+    # the suite below allocates and frees gigabytes and leaves a
+    # fragmented heap.
+    kernel = bench_kernel()
     benches = run_suite(args.records, args.queries, args.seed, profiler=profiler_hook)
     if profiler_hook is not None:
         failure_handling = profiler_hook(
@@ -284,6 +291,7 @@ def main(argv=None) -> int:
         "isolation_overhead": isolation_overhead,
         "schedule_fuzz_overhead": schedule_fuzz_overhead,
         "resource_tracking_overhead": resource_tracking_overhead,
+        "kernel": kernel,
     }
     if scale is not None:
         scale["gates"] = SCALE_GATES
@@ -314,6 +322,12 @@ def main(argv=None) -> int:
         f"  failovers {counters['query_failovers']}"
         f"  replica records {counters['replica_records']}"
     )
+    for density in KERNEL_DENSITIES:
+        entry = kernel[density]
+        print(
+            f"  kernel {density:6s} calendar {entry['calendar_ns_per_event']:7.1f} ns/event"
+            f"  heap {entry['heap_ns_per_event']:7.1f} ns/event"
+        )
 
     # At full scale the vectorized scan is several times faster than the
     # scalar fallback, but at smoke-test scale (a few thousand records)

@@ -16,11 +16,16 @@ Within a registered handler (``self._handlers``/``extra_handlers``/
 is the taint source.  Taint flows through name bindings, subscript reads
 (``payload["rect"]``), and ``.get(...)`` calls — i.e. through everything
 *reachable* from the payload — and stops at any other call: ``dict(...)``,
-``list(...)``, ``thaw_payload(...)``, ``Record.from_wire(...)`` and every
-other constructor produce fresh objects, which is exactly the copy
-discipline the rules ask for.  Taint also propagates one level into
-same-module helpers that receive a tainted argument
-(``self._apply_x(msg.payload)``), mirroring the protocol linter.
+``list(...)``, ``thaw_payload(...)`` and every other constructor produce
+fresh objects, which is exactly the copy discipline the rules ask for.
+Taint also propagates one level into same-module helpers that receive a
+tainted argument (``self._apply_x(msg.payload)``), mirroring the protocol
+linter.
+
+:class:`~repro.core.records.Record`\\ s travel in payloads as themselves
+and need no copy step: a record is an immutable leaf (frozen attributes,
+a tuple of values, a read-only payload view), so receivers hand a
+delivered record to their store or callbacks as is.
 
 Rules
 -----

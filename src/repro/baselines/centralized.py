@@ -41,16 +41,15 @@ class CentralizedSystem(BaselineSystem):
             self.by_address[origin].send(
                 self.server,
                 "c_insert",
-                {"op_id": metric.op_id, "origin": origin, "record": record.to_wire()},
+                {"op_id": metric.op_id, "origin": origin, "record": record},
                 size_bytes=180,
             )
 
     def _on_server_insert(self, msg) -> None:
         payload = msg.payload
-        record = Record.from_wire(payload["record"])
         server = self.by_address[self.server]
         server.local_insert(
-            record,
+            payload["record"],
             lambda: server.send(payload["origin"], "c_insert_ack", {"op_id": payload["op_id"]}),
         )
 
@@ -91,15 +90,14 @@ class CentralizedSystem(BaselineSystem):
             server.send(
                 payload["origin"],
                 "c_query_reply",
-                {"op_id": payload["op_id"], "records": [r.to_wire() for r in records]},
+                {"op_id": payload["op_id"], "records": records},
                 size_bytes=150 + 120 * len(records),
             )
 
         server.local_query(query, done)
 
     def _on_query_reply(self, msg) -> None:
-        records = [Record.from_wire(w) for w in msg.payload["records"]]
-        self._finish_query(msg.payload["op_id"], records)
+        self._finish_query(msg.payload["op_id"], msg.payload["records"])
 
     def _finish_query(self, op_id: str, records) -> None:
         pending = self._pending.pop(op_id, None)

@@ -53,16 +53,15 @@ class UniformHashSystem(BaselineSystem):
             self.by_address[origin].send(
                 owner,
                 "h_store",
-                {"op_id": metric.op_id, "origin": origin, "record": record.to_wire()},
+                {"op_id": metric.op_id, "origin": origin, "record": record},
                 size_bytes=180,
             )
 
     def _make_store_handler(self, node):
         def handler(msg) -> None:
             payload = msg.payload
-            record = Record.from_wire(payload["record"])
             node.local_insert(
-                record,
+                payload["record"],
                 lambda: node.send(payload["origin"], "h_store_ack", {"op_id": payload["op_id"]}),
             )
 
@@ -110,7 +109,7 @@ class UniformHashSystem(BaselineSystem):
                     {
                         "qid": payload["qid"],
                         "responder": node.address,
-                        "records": [r.to_wire() for r in records],
+                        "records": records,
                     },
                     size_bytes=150 + 120 * len(records),
                 )
@@ -120,8 +119,7 @@ class UniformHashSystem(BaselineSystem):
         return handler
 
     def _on_reply(self, msg) -> None:
-        records = [Record.from_wire(w) for w in msg.payload["records"]]
-        self._absorb(msg.payload["qid"], msg.payload["responder"], records)
+        self._absorb(msg.payload["qid"], msg.payload["responder"], msg.payload["records"])
 
     def _absorb(self, qid: str, responder: str, records: List[Record]) -> None:
         pending = self._pending.get(qid)

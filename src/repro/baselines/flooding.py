@@ -67,7 +67,7 @@ class QueryFloodingSystem(BaselineSystem):
                 node.send(
                     origin,
                     "flood_reply",
-                    {"qid": qid, "responder": node.address, "records": [r.to_wire() for r in records]},
+                    {"qid": qid, "responder": node.address, "records": records},
                     size_bytes=150 + 120 * len(records),
                 )
 
@@ -77,8 +77,7 @@ class QueryFloodingSystem(BaselineSystem):
 
     def _on_reply(self, msg) -> None:
         payload = msg.payload
-        records = [Record.from_wire(w) for w in payload["records"]]
-        self._absorb(payload["qid"], payload["responder"], records)
+        self._absorb(payload["qid"], payload["responder"], payload["records"])
 
     def _absorb(self, qid: str, responder: str, records: List[Record]) -> None:
         pending = self._pending.get(qid)

@@ -562,7 +562,7 @@ class MindNode(OverlayNode):
         )
         inner = {
             "index": op.index,
-            "record": op.record.to_wire(),
+            "record": op.record,
             "op_id": op_id,
             "attempt": op.total_attempts,
         }
@@ -640,9 +640,8 @@ class MindNode(OverlayNode):
             # so the originator can retry rather than silently losing data.
             self.on_route_failed(envelope, "no-such-index")
             return
-        record = Record.from_wire(inner["record"])
         state.dac.submit(
-            state.dac.insert_cost(1), self._complete_insert_store, state, record, envelope
+            state.dac.insert_cost(1), self._complete_insert_store, state, inner["record"], envelope
         )
 
     def _complete_insert_store(self, state: IndexState, record: Record, envelope: Dict[str, Any]) -> None:
@@ -681,7 +680,7 @@ class MindNode(OverlayNode):
                         dests.append(addr)
             self._replica_dests_key = key
             self._replica_dests = dests
-        wire = {"index": state.schema.name, "record": record.to_wire()}
+        wire = {"index": state.schema.name, "record": record}
         for addr in self._replica_dests:
             self._send(
                 addr,
@@ -695,8 +694,9 @@ class MindNode(OverlayNode):
         state = self.indices.get(msg.payload["index"])
         if state is None:
             return
-        record = Record.from_wire(msg.payload["record"])
-        state.dac.submit(state.dac.replica_cost(1), self._complete_replica_store, state, record)
+        state.dac.submit(
+            state.dac.replica_cost(1), self._complete_replica_store, state, msg.payload["record"]
+        )
 
     def _complete_replica_store(self, state: IndexState, record: Record) -> None:
         if not self.in_overlay():
@@ -1135,7 +1135,7 @@ class MindNode(OverlayNode):
             "sibling_data",
             {
                 "fetch_id": payload["fetch_id"],
-                "records": [r.to_wire() for r in matches],
+                "records": matches,
             },
             self.mind_config.response_base_bytes
             + self.mind_config.record_wire_bytes * len(matches),
@@ -1164,8 +1164,7 @@ class MindNode(OverlayNode):
         pending = self._finish_sibling_fetch(msg.payload["fetch_id"])
         if pending is None:
             return
-        for wire in msg.payload["records"]:
-            record = Record.from_wire(wire)
+        for record in msg.payload["records"]:
             pending["matches"][record.key] = record
         self._respond_query(
             pending["envelope"], pending["spawned"], list(pending["matches"].values())
@@ -1178,7 +1177,7 @@ class MindNode(OverlayNode):
             "version": envelope["inner"]["version"],
             "region": envelope["target"],
             "spawned": spawned,
-            "records": [r.to_wire() for r in matches],
+            "records": matches,
             # Copy-on-send: the envelope's path list stays live in retained
             # state (sibling fetches hold the envelope), so ship a snapshot.
             "path": list(envelope["path"]),
@@ -1212,16 +1211,16 @@ class MindNode(OverlayNode):
         from_failover = bool(payload.get("failover"))
         op.metric.nodes_visited.update(payload["path"])
         op.metric.nodes_visited.add(payload["responder"])
-        wires = payload["records"]
-        if wires:
+        received = payload["records"]
+        if received:
             # The same check as ``RangeQuery.matches`` per record, as one
             # normalize + mask over the whole response.
             schema = self._state(op.query.index).schema
-            mask = rect_mask(schema.normalize_batch([wire[0] for wire in wires]), op.rect)
-            rows = range(len(wires)) if mask is None else np.flatnonzero(mask).tolist()
+            mask = rect_mask(schema.normalize_batch([r.values for r in received]), op.rect)
+            rows = range(len(received)) if mask is None else np.flatnonzero(mask).tolist()
             records = op.records
             for row in rows:
-                record = Record.from_wire(wires[row])
+                record = received[row]
                 if from_failover and record.key not in records:
                     op.metric.replica_records += 1
                 records[record.key] = record
@@ -1425,7 +1424,7 @@ class MindNode(OverlayNode):
             payload = {
                 "trigger_id": trigger.trigger_id,
                 "index": state.schema.name,
-                "record": record.to_wire(),
+                "record": record,
             }
             if trigger.subscriber == self.address:
                 self._deliver_trigger_fire(payload)
@@ -1443,7 +1442,7 @@ class MindNode(OverlayNode):
     def _deliver_trigger_fire(self, payload: Dict[str, Any]) -> None:
         callback = self._trigger_subs.get(payload["trigger_id"])
         if callback is not None:
-            callback(Record.from_wire(payload["record"]))
+            callback(payload["record"])
 
     def _on_trigger_drop(self, msg: Message) -> None:
         payload = msg.payload

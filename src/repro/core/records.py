@@ -1,23 +1,33 @@
 """Data records inserted into MIND indices."""
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, Sequence, Tuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Any, Mapping, Sequence, Tuple
 
 _RECORD_IDS = itertools.count(1)
 
-#: A record on the simulated wire: ``(values, payload, key)``.
-WireRecord = Tuple[Tuple[float, ...], Dict[str, Any], int]
+#: Shared read-only payload of every record built without one.
+_EMPTY_PAYLOAD: Mapping[str, Any] = MappingProxyType({})
 
 
 @dataclass(frozen=True, slots=True)
 class Record:
-    """One multi-dimensional data item.
+    """One multi-dimensional data item, immutable once built.
 
     ``values`` are the indexed attribute values in schema order; ``payload``
-    carries the non-indexed attributes (e.g. source prefix, monitor node).
-    ``key`` uniquely identifies the record across primaries and replicas, so
-    result sets can be compared for recall and deduplicated.
+    carries the non-indexed attributes (e.g. source prefix, monitor node)
+    as scalars.  ``key`` uniquely identifies the record across primaries
+    and replicas, so result sets can be compared for recall and
+    deduplicated.
+
+    Immutability is the record's wire contract.  The dataclass is frozen,
+    ``values`` is a tuple, and ``payload`` is a read-only view over a
+    private copy of the caller's dict.  Nothing a receiver can reach from
+    a record can be changed, so records cross the simulated wire as
+    themselves: senders put the Record in the message and receivers store
+    or return it as is, with the same sharing the message-isolation
+    levels already give any immutable leaf.
 
     Slotted: stores retain one instance per stored record — 10^6 of them
     in the scale tier — and the per-instance ``__dict__`` was a third of
@@ -25,12 +35,12 @@ class Record:
     """
 
     values: Tuple[float, ...]
-    payload: Dict[str, Any] = field(default_factory=dict)
-    key: int = field(default_factory=lambda: next(_RECORD_IDS))
+    payload: Mapping[str, Any]
+    key: int
 
-    def __init__(self, values: Sequence[float], payload: Dict[str, Any] = None, key: int = None) -> None:
+    def __init__(self, values: Sequence[float], payload: Mapping[str, Any] = None, key: int = None) -> None:
         object.__setattr__(self, "values", tuple(values))
-        object.__setattr__(self, "payload", dict(payload or {}))
+        object.__setattr__(self, "payload", MappingProxyType(dict(payload)) if payload else _EMPTY_PAYLOAD)
         object.__setattr__(self, "key", next(_RECORD_IDS) if key is None else key)
 
     def __hash__(self) -> int:
@@ -39,21 +49,13 @@ class Record:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Record) and self.key == other.key
 
+    def __deepcopy__(self, memo: dict) -> "Record":
+        # An immutable value is its own deep copy (as a tuple of scalars
+        # is); the payload view itself cannot be copied.
+        return self
+
+    def __repr__(self) -> str:
+        return f"Record(values={self.values!r}, payload={dict(self.payload)!r}, key={self.key!r})"
+
     def value(self, dim: int) -> float:
         return self.values[dim]
-
-    def to_wire(self) -> WireRecord:
-        """The record as a ``(values, payload, key)`` tuple.
-
-        A tuple rather than a keyed dict: every record a query returns
-        crosses the wire, and building and unpacking a dict per record
-        costs a measurable share of the result path.  ``values`` is
-        already an immutable tuple and is shipped as is; the payload dict
-        is shared until :meth:`from_wire` copies it on the receiving side.
-        """
-        return (self.values, self.payload, self.key)
-
-    @classmethod
-    def from_wire(cls, data: WireRecord) -> "Record":
-        values, payload, key = data
-        return cls(values, payload, key)

@@ -131,10 +131,11 @@ def copy_payload(value: Any) -> Any:
     """Recursively copy the container structure of a payload value.
 
     Only plain containers (dict/list/tuple/set) are copied — each keeps
-    its type; leaves — scalars, strings, frozensets, and domain objects
-    such as :class:`~repro.core.records.Record` — are shared, matching
-    what serialization would preserve (domain objects cross the simulated
-    wire via their own ``to_wire``/``from_wire`` copies).
+    its type; leaves — scalars, strings, frozensets, and immutable domain
+    objects such as :class:`~repro.core.records.Record` — are shared.
+    Sharing an immutable leaf is indistinguishable from serializing it:
+    a Record cannot be mutated through any attribute or its read-only
+    payload view, so records cross the simulated wire as themselves.
     """
     if isinstance(value, dict):
         return {key: copy_payload(item) for key, item in value.items()}

@@ -79,6 +79,11 @@ def test_run_py_writes_bench_perf_json(tmp_path):
     assert tracking["messages"] > 0
     assert tracking["off_ns_per_msg"] >= 0.0
     assert tracking["tracked_ns_per_msg"] >= 0.0
+    kernel = payload["kernel"]
+    assert kernel["events"] > 0
+    for density in ("dense", "sparse"):
+        assert kernel[density]["calendar_ns_per_event"] > 0.0, density
+        assert kernel[density]["heap_ns_per_event"] > 0.0, density
 
 
 def test_run_py_refuses_isolation_on(tmp_path):

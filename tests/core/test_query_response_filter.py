@@ -1,11 +1,12 @@
 """The originator's batched response filter keeps what ``matches`` keeps.
 
 ``MindNode._apply_query_response`` filters every response with one
-``normalize_batch`` + ``rect_mask`` over the whole record batch.  These
-tests drive that method on a small cluster with generated responses and
-compare the records it keeps — which keys, in which order, which copy of
-a duplicated key, and how many count as failover replicas — against a
-per-record evaluation with the scalar reference ``RangeQuery.matches``.
+``normalize_batch`` + ``rect_mask`` over the whole batch of shipped
+``Record`` objects.  These tests drive that method on a small cluster
+with generated responses and compare the records it keeps — which keys,
+in which order, which copy of a duplicated key, and how many count as
+failover replicas — against a per-record evaluation with the scalar
+reference ``RangeQuery.matches``.
 """
 
 from typing import Dict, List, Tuple
@@ -66,9 +67,8 @@ def reference(query: RangeQuery, responses) -> Tuple[Dict[int, Record], int]:
     """Per-record merge with the scalar ``RangeQuery.matches``."""
     kept: Dict[int, Record] = {}
     replicas = 0
-    for wires, failover in responses:
-        for wire in wires:
-            record = Record.from_wire(wire)
+    for records, failover in responses:
+        for record in records:
             if query.matches(SCHEMA, record):
                 if failover and record.key not in kept:
                     replicas += 1
@@ -89,13 +89,13 @@ def run_responses(cluster, query: RangeQuery, responses, frozen: bool = False):
     op_id = node.query_index(query, callback=done.append)
     op = node._query_ops[op_id]
     valid_from = next(iter(op.inner_by_version))
-    for i, (wires, failover) in enumerate(responses):
+    for i, (records, failover) in enumerate(responses):
         payload = {
             "qid": op_id,
             "version": valid_from,
             "region": f"injected-{i}",
             "spawned": [],
-            "records": wires,
+            "records": records,
             "path": [node.address],
             "responder": cluster.nodes[1].address,
             "attempt": 1,
@@ -130,8 +130,8 @@ def responses_strategy(draw):
     responses = []
     for i in range(draw(st.integers(0, 4))):
         picked = draw(st.lists(st.sampled_from(pool), max_size=60))
-        wires = [Record(r.values, {"copy": i}, r.key).to_wire() for r in picked]
-        responses.append((wires, draw(st.booleans())))
+        copies = [Record(r.values, {"copy": i}, r.key) for r in picked]
+        responses.append((copies, draw(st.booleans())))
     return responses
 
 
@@ -144,21 +144,21 @@ def test_batched_filter_keeps_what_matches_keeps(cluster, query, responses, froz
     assert replicas == want_replicas
 
 
-def make_wires(rows: List[tuple], tag: int = 0) -> list:
-    return [Record(values, {"copy": tag}).to_wire() for values in rows]
+def make_records(rows: List[tuple], tag: int = 0) -> List[Record]:
+    return [Record(values, {"copy": tag}) for values in rows]
 
 
 def test_clamped_top_of_range_records_match_unbounded_top(cluster):
     # x and v far beyond their domains normalize to 1 - eps; a query whose
     # top side is open or at/above the domain edge must keep them.
-    wires = make_wires([(5.0e5, 100.0, 900.0), (99.0, 100.0, 49.0), (10.0, 100.0, -60.0)])
+    records = make_records([(5.0e5, 100.0, 900.0), (99.0, 100.0, 49.0), (10.0, 100.0, -60.0)])
     for query in (
         RangeQuery("rf", {"x": (50.0, None)}),
         RangeQuery("rf", {"x": (50.0, 100.0), "v": (0.0, 75.0)}),
         RangeQuery("rf", {"x": (50.0, 99.5)}),
     ):
-        want, _ = reference(query, [(wires, False)])
-        got, _ = run_responses(cluster, query, [(wires, False)])
+        want, _ = reference(query, [(records, False)])
+        got, _ = run_responses(cluster, query, [(records, False)])
         assert_same(got, want)
     assert len(want) == 1  # 99.5 is inside the domain: the clamped record is out
 
@@ -169,21 +169,21 @@ def test_empty_response_keeps_nothing(cluster):
 
 
 def test_all_match_response_keeps_everything_in_order(cluster):
-    wires = make_wires([(float(i), 10.0 * i, 0.0) for i in range(50)])
-    wires += wires[:5]  # a repeated key is kept once, at its first position
-    got, _ = run_responses(cluster, RangeQuery("rf", {}), [(wires, False)])
-    assert list(got) == [wire[2] for wire in wires[:50]]
+    records = make_records([(float(i), 10.0 * i, 0.0) for i in range(50)])
+    records += records[:5]  # a repeated key is kept once, at its first position
+    got, _ = run_responses(cluster, RangeQuery("rf", {}), [(records, False)])
+    assert list(got) == [r.key for r in records[:50]]
 
 
 def test_dedup_and_failover_replica_count(cluster):
     rows = [(1.0, 10.0, 0.0), (2.0, 20.0, 0.0), (3.0, 30.0, 0.0)]
-    primary = make_wires(rows, tag=0)
+    primary = make_records(rows, tag=0)
     # The failover response repeats all three keys with new payloads and
     # adds a fourth record.  The two keys the primary response did not
     # carry count as replica records, and the later copies win.
-    keys = [wire[2] for wire in primary]
-    failover = [Record(values, {"copy": 1}, key).to_wire() for values, key in zip(rows, keys)]
-    failover.append(Record((4.0, 40.0, 0.0), {"copy": 1}).to_wire())
+    keys = [r.key for r in primary]
+    failover = [Record(values, {"copy": 1}, key) for values, key in zip(rows, keys)]
+    failover.append(Record((4.0, 40.0, 0.0), {"copy": 1}))
     responses = [(primary[:2], False), (failover, True)]
     query = RangeQuery("rf", {"x": (0.0, 50.0)})
     want, want_replicas = reference(query, responses)
