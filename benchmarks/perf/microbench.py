@@ -303,7 +303,7 @@ def bench_schedule_fuzz_overhead(n_events: int = 50_000, num_ties: int = 50) -> 
 #:
 #: * ``dense``: the scale tier's timed section at 1000 nodes / 200k
 #:   records, seed 7 (``queue_traffic scale``): 3420 events per virtual
-#:   second counting the 60 s drain, i.e. several per 1 ms calendar slot;
+#:   second counting the 60 s drain;
 #:   median 31446 live events pending (p10 11129, p90 43429).
 #: * ``sparse``: the ``query-scan`` benchmark's timed phase, seed 1,
 #:   30 s (``queue_traffic query-scan``): 43.4 events per virtual second,
@@ -378,36 +378,19 @@ def bench_kernel(n_events: int = 100_000, seed: int = 7) -> Dict:
     pending, and every pop schedules one replacement after a delay drawn
     from the measured delay quantiles.  The model's event rate is the
     pending count over the mean delay, reported next to the measured
-    rate.  The mix of short deliveries and long timers exercises the
-    calendar's slow path: a long timer due before the next calendar entry
-    pops from the heap while the cursor waits ahead at that entry's slot,
-    and short delays pushed then land behind the cursor and go to the
-    heap as well.  Not modelled: cancellations, bulk ``push_many``
-    scheduling, ``run_until`` stopping at a horizon between events, and
-    the workload's steady op arrivals.
-
-    How close the model comes (seed 7, calendar queue): ``sparse`` runs
-    53 events per virtual second (measured 43), 33 % of its pushes land
-    behind the cursor and 38 % of its pops come from the heap (measured
-    53 % and 59 %).  ``dense`` runs 4070 events per virtual second
-    (measured 3420 with the drain), but 15 % of its pushes land behind
-    the cursor and 26 % of pops come from the heap, against 1.3 % and
-    15 % measured: without the workload's arrivals to keep slots filled,
-    chains of short delays that fall behind the cursor stay in the heap.
-    Both figures are illustrative of the kernel's per-event cost; whether
-    the calendar pays for itself is an end-to-end question (ROADMAP).
-
-    The calendar queue (the kernel default) and the heap-only queue
-    (``num_slots=0``, its ordering oracle) run the same times; each
-    figure is the best of three interleaved runs.
+    rate (seed 7: ``sparse`` runs 53 events per virtual second against
+    43 measured, ``dense`` 4070 against 3420 measured with the drain).
+    Not modelled: cancellations, bulk ``push_many`` scheduling,
+    ``run_until`` stopping at a horizon between events, and the
+    workload's steady op arrivals.  Each figure is the best of three runs.
     """
     from repro.sim.events import EventQueue, schedule_fuzz
 
     noop = lambda: None  # noqa: E731
 
-    def hold(calendar: bool, initial: List[float], delays: List[float]) -> float:
+    def hold(initial: List[float], delays: List[float]) -> float:
         with schedule_fuzz("off"):
-            queue = EventQueue() if calendar else EventQueue(num_slots=0)
+            queue = EventQueue()
         for time_s in initial:
             queue.push(time_s, noop, ())
         push, pop = queue.push, queue.pop
@@ -422,16 +405,12 @@ def bench_kernel(n_events: int = 100_000, seed: int = 7) -> Dict:
         rng = random.Random(seed)
         initial = _residual_draws(quantiles, rng, pending)
         delays = _delay_draws(quantiles, rng, n_events)
-        calendar_s = heap_s = float("inf")
-        for _ in range(3):
-            calendar_s = min(calendar_s, hold(True, initial, delays))
-            heap_s = min(heap_s, hold(False, initial, delays))
+        best_s = min(hold(initial, delays) for _ in range(3))
         out[name] = {
             "pending": pending,
             "measured_events_per_virtual_s": mix["measured_events_per_virtual_s"],
             "model_events_per_virtual_s": round(pending * n_events / sum(delays), 1),
-            "calendar_ns_per_event": round(calendar_s / n_events * 1e9, 1),
-            "heap_ns_per_event": round(heap_s / n_events * 1e9, 1),
+            "ns_per_event": round(best_s / n_events * 1e9, 1),
         }
     return out
 

@@ -5,9 +5,7 @@ prints, as JSON: events run per virtual second, the pending depth (live
 events in the queue, sampled every 7th pop), the quantiles of the delay
 of each event that ran (its firing time minus the virtual time it was
 pushed at; cancelled events never run and are left out, as are the
-workload's own bulk-scheduled ops), and how much
-of the traffic the calendar hands to its heap (pushes landing behind the
-calendar cursor, pops served by the heap).  ``KERNEL_DENSITIES`` in
+workload's own bulk-scheduled ops).  ``KERNEL_DENSITIES`` in
 :mod:`benchmarks.perf.microbench` copies its rate, depth and delay
 quantiles from these figures.
 
@@ -26,7 +24,6 @@ counts and virtual times, so that does not change them.
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Dict, List
@@ -42,7 +39,7 @@ class _Recorder:
         self.on = False
         self.now = 0.0
         self.first = self.last = None
-        self.pops = self.pushes = self.behind = self.heap_pops = 0
+        self.pops = self.pushes = 0
         self.depths: List[int] = []
         self.delays: List[float] = []
         self.pushed_at: Dict[object, float] = {}
@@ -50,15 +47,13 @@ class _Recorder:
     def install(self) -> None:
         from repro.sim.events import EventQueue
 
-        push, pop_due, take = EventQueue.push, EventQueue.pop_due, EventQueue._take
+        push, pop_due = EventQueue.push, EventQueue.pop_due
         rec = self
 
         def counted_push(queue, time, callback, args):
             if not rec.on:
                 return push(queue, time, callback, args)
             rec.pushes += 1
-            if queue._cal_size and math.floor(time / queue._slot_width) < queue._cur_slot:
-                rec.behind += 1
             event = push(queue, time, callback, args)
             rec.pushed_at[event] = rec.now
             return event
@@ -79,12 +74,7 @@ class _Recorder:
                         rec.depths.append(len(queue))
             return event
 
-        def counted_take(queue, entry, from_calendar):
-            if rec.on and not from_calendar:
-                rec.heap_pops += 1
-            return take(queue, entry, from_calendar)
-
-        EventQueue.push, EventQueue.pop_due, EventQueue._take = counted_push, counted_pop_due, counted_take
+        EventQueue.push, EventQueue.pop_due = counted_push, counted_pop_due
 
     def report(self, run: str) -> Dict:
         delays = sorted(self.delays)
@@ -99,8 +89,6 @@ class _Recorder:
             "pending_median": depths[len(depths) // 2],
             "pending_p10_p90": [depths[len(depths) // 10], depths[len(depths) * 9 // 10]],
             "pushes": self.pushes,
-            "pushes_behind_cursor_fraction": round(self.behind / self.pushes, 3),
-            "heap_pop_fraction": round(self.heap_pops / self.pops, 3),
             "delay_mean_s": round(sum(delays) / n, 4),
             "delay_quantiles_s": [
                 float(f"{delays[min(n - 1, i * n // QUANTILE_STEPS)]:.4g}")

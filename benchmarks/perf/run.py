@@ -324,10 +324,7 @@ def main(argv=None) -> int:
     )
     for density in KERNEL_DENSITIES:
         entry = kernel[density]
-        print(
-            f"  kernel {density:6s} calendar {entry['calendar_ns_per_event']:7.1f} ns/event"
-            f"  heap {entry['heap_ns_per_event']:7.1f} ns/event"
-        )
+        print(f"  kernel {density:6s} {entry['ns_per_event']:7.1f} ns/event")
 
     # At full scale the vectorized scan is several times faster than the
     # scalar fallback, but at smoke-test scale (a few thousand records)

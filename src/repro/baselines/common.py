@@ -58,26 +58,21 @@ class BaselineNode:
         self.store = TimePartitionedStore(schema, vectorized=vectorized_store)
         self.dac = DataAccessController(sim, DacConfig())
         self.handlers: Dict[str, Callable[[Message], None]] = _HandlerRegistry(self)
-        # Flat dispatch table indexed by ``Message.kind_id``; kinds outside
-        # the wire registry fall back to the string-keyed overflow dict.
+        # Flat dispatch table indexed by ``Message.kind_id``; the last slot
+        # (``UNKNOWN_KIND_ID``) stays ``None``.
         self._dispatch_table: List[Callable[[Message], None]] = [None] * (protocol.NUM_KINDS + 1)
-        self._dispatch_overflow: Dict[str, Callable[[Message], None]] = {}
         network.register(address, self._deliver)
 
     def _register(self, kind: str, handler: Callable[[Message], None]) -> None:
         kid = protocol.KIND_IDS.get(kind)
         if kid is None:
-            # repro-leak: ignore[leak-op-state] bounded by registered kinds
-            self._dispatch_overflow[kind] = handler
-        else:
-            self._dispatch_table[kid] = handler
+            raise ValueError(f"{self.address}: handler for unregistered message kind {kind!r}")
+        self._dispatch_table[kid] = handler
 
     def _deliver(self, msg: Message) -> None:
         handler = self._dispatch_table[msg.kind_id]
         if handler is None:
-            handler = self._dispatch_overflow.get(msg.kind)
-            if handler is None:
-                raise ValueError(f"{self.address}: unhandled baseline message {msg.kind!r}")
+            raise ValueError(f"{self.address}: unhandled baseline message {msg.kind!r}")
         handler(msg)
 
     def send(self, dst: str, kind: str, payload, size_bytes: int = 256) -> None:

@@ -183,10 +183,9 @@ class OverlayNode:
         # A table index replaces two string dict probes per received
         # message.  Slot ``UNKNOWN_KIND_ID`` (the last one) stays ``None``
         # so unregistered kinds fall into the error path without a bounds
-        # check; handlers for kinds outside the wire registry (test-only
-        # kinds) keep working via the string-keyed overflow dict.
+        # check; a handler for a kind outside the wire registry is
+        # rejected when the table is built.
         self._dispatch_table: Optional[List[Optional[Callable[[Message], None]]]] = None
-        self._dispatch_overflow: Dict[str, Callable[[Message], None]] = {}
         # Routing-decision memo, keyed by target bits and valid only for
         # the link list it was computed against (identity-checked: links()
         # returns a new list object whenever the link set changes).
@@ -415,17 +414,20 @@ class OverlayNode:
         return last
 
     def _build_dispatch_table(self) -> List[Optional[Callable[[Message], None]]]:
-        """Flatten ``_handlers`` + ``extra_handlers()`` into a kind-id table."""
+        """Flatten ``_handlers`` + ``extra_handlers()`` into a kind-id table.
+
+        Raises ``ValueError`` for a kind missing from ``protocol.KIND_IDS``.
+        """
         table: List[Optional[Callable[[Message], None]]] = [None] * (protocol.NUM_KINDS + 1)
         kind_ids = protocol.KIND_IDS
         for source in (self._handlers, self.extra_handlers()):
             for kind, handler in source.items():
                 kid = kind_ids.get(kind)
                 if kid is None:
-                    # repro-leak: ignore[leak-op-state] bounded by registered kinds
-                    self._dispatch_overflow[kind] = handler
-                else:
-                    table[kid] = handler
+                    raise ValueError(
+                        f"{self.address}: handler for unregistered message kind {kind!r}"
+                    )
+                table[kid] = handler
         self._dispatch_table = table
         return table
 
@@ -443,9 +445,7 @@ class OverlayNode:
             table = self._build_dispatch_table()
         handler = table[msg.kind_id]
         if handler is None:
-            handler = self._dispatch_overflow.get(msg.kind)
-            if handler is None:
-                raise ValueError(f"{self.address}: no handler for message kind {msg.kind!r}")
+            raise ValueError(f"{self.address}: no handler for message kind {msg.kind!r}")
         handler(msg)
 
     # ==================================================================

@@ -13,10 +13,8 @@ Design notes
   time explicitly (the storage DAC and node CPU models do).
 * Exceptions raised by callbacks abort the run: errors should never pass
   silently in an experiment.
-* The event queue is a calendar-queue-fronted heap (see
-  :mod:`repro.sim.events`); ``calendar_queue=False`` degrades to the plain
-  binary heap with byte-identical scheduling semantics, which the
-  equivalence tests exercise.
+* The event queue is one binary heap in exact ``(time, key)`` order with
+  lazy cancellation (see :mod:`repro.sim.events`).
 """
 
 from typing import Any, Callable, Iterable, List, Optional, Tuple
@@ -33,10 +31,10 @@ class SimulationError(RuntimeError):
 class Simulator:
     """Virtual clock plus event queue plus named random streams."""
 
-    def __init__(self, seed: int = 0, calendar_queue: bool = True) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0
         self.streams = RandomStreams(seed)
-        self._queue = EventQueue() if calendar_queue else EventQueue(num_slots=0)
+        self._queue = EventQueue()
         self._events_processed = 0
         #: Resource-lifecycle ledger (repro-leak runtime half); ``None``
         #: unless ``REPRO_TRACK_RESOURCES`` was enabled at construction.

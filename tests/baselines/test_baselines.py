@@ -92,3 +92,10 @@ def test_dht_range_query_contacts_all_nodes():
     metric = system.query_now(RangeQuery("b", {"x": (0, 10)}), origin="CHIN")
     assert metric.cost == len(ABILENE_SITES) - 1
     assert metric.records == 1
+
+
+def test_registering_an_unregistered_kind_raises():
+    system = CentralizedSystem(ABILENE_SITES, make_schema(), seed=1)
+    node = system.nodes[0]
+    with pytest.raises(ValueError, match="'mystery'"):
+        node.handlers["mystery"] = lambda msg: None

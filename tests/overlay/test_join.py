@@ -155,3 +155,11 @@ def test_rejoin_after_crash():
     assert ok
     live = [n for n in nodes if n.in_overlay()]
     assert len(live) == 6
+
+
+def test_handler_for_an_unregistered_kind_raises():
+    _, _, nodes = build_overlay(1)
+    node = nodes[0]
+    node._handlers["mystery"] = lambda msg: None
+    with pytest.raises(ValueError, match="'mystery'"):
+        node._build_dispatch_table()
